@@ -66,21 +66,15 @@ Materializer::Materializer(storage::ThrottledDisk* disk,
       pool_(pool),
       track_(NextMaterializerTrack()) {
   if (pool_ == nullptr) {
-    worker_ = std::thread([this] { Loop(); });
+    owned_pool_ = std::make_unique<LanePool>(1);
+    pool_ = owned_pool_.get();
   }
 }
 
 Materializer::~Materializer() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-    // Pooled mode: the in-flight drain task references `this` and
-    // processes every queued write before retiring — wait it out (the
-    // owned-thread mode equally drains its queue before Loop returns).
-    drained_cv_.wait(lock, [this] { return !pool_task_active_; });
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
+  // The in-flight drain task references `this` and processes every
+  // queued write before retiring: wait it out.
+  Drain();
 }
 
 std::shared_future<void> Materializer::Enqueue(std::string name,
@@ -93,7 +87,7 @@ std::shared_future<void> Materializer::Enqueue(std::string name,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
-    if (pool_ != nullptr && !pool_task_active_) {
+    if (!pool_task_active_) {
       // One drain task at a time: the single-writer FIFO channel.
       pool_task_active_ = true;
       submit_drain = true;
@@ -102,13 +96,12 @@ std::shared_future<void> Materializer::Enqueue(std::string name,
   if (submit_drain) {
     pool_->Submit([this] { DrainOnPool(); });
   }
-  cv_.notify_one();
   return future;
 }
 
 void Materializer::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  drained_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
+  drained_cv_.wait(lock, [this] { return !pool_task_active_; });
 }
 
 void Materializer::SetRetryPolicy(int retry_limit, double retry_backoff_ms,
@@ -131,8 +124,8 @@ void Materializer::WriteOne(Task task) {
       const double write_start = MonotonicSeconds();
       disk_->WriteTable(task.name, *task.table);
       if (trace_ != nullptr && trace_->enabled()) {
-        // Explicit track: in pooled mode the executing thread is some
-        // lane, but the write belongs on this materializer's timeline.
+        // Explicit track: the executing thread is some lane, but the
+        // write belongs on this materializer's timeline.
         trace_->CompleteOnTrack(
             track_, "materialize", task.name, write_start,
             MonotonicSeconds() - write_start,
@@ -169,30 +162,6 @@ void Materializer::WriteOne(Task task) {
   }
 }
 
-void Materializer::Loop() {
-  obs::SetThreadTrack(track_);
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      busy_ = true;
-    }
-    WriteOne(std::move(task));
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      busy_ = false;
-    }
-    drained_cv_.notify_all();
-  }
-}
-
 void Materializer::DrainOnPool() {
   for (;;) {
     Task task;
@@ -205,14 +174,8 @@ void Materializer::DrainOnPool() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      busy_ = true;
     }
     WriteOne(std::move(task));
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      busy_ = false;
-    }
-    drained_cv_.notify_all();
   }
 }
 
@@ -244,7 +207,7 @@ double RunReport::CatalogHitRate() const {
 }
 
 // ---------------------------------------------------------------------------
-// Run state shared by the sequential loop and the parallel runtime
+// Run state
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -268,9 +231,8 @@ std::vector<double> EstimateNodeCosts(const graph::Graph& g,
                                   dp.throttle);
 }
 
-/// Everything one refresh run owns. Both execution paths drive the same
-/// ExecuteNode / PublishNode pair against this state, which is what makes
-/// the 1-lane mode provably identical to the stage runtime at 1 lane.
+/// Everything one refresh run owns. The run loop drives the ExecuteNode /
+/// PublishNode pair against this state.
 struct RunState {
   RunState(const workload::MvWorkload& wl_in, const opt::Plan& plan_in,
            const opt::StageDecomposition& stages_in,
@@ -295,9 +257,7 @@ struct RunState {
     materializer.SetWriteFailureHook([this](const std::string& name) {
       catalog.QuarantineShared(name);
     });
-    if (options.morsel_target_seconds > 0) {
-      node_est_seconds = EstimateNodeCosts(g, plan.flags, disk);
-    }
+    node_est_seconds = EstimateNodeCosts(g, plan.flags, disk);
     if (options.shared_catalog != nullptr) {
       // The catalog becomes the per-job view onto the cross-job layer:
       // every MV name is bound to its content fingerprint (reusing the
@@ -336,11 +296,11 @@ struct RunState {
   std::map<std::string, std::shared_future<void>> in_flight;
   std::vector<graph::NodeId> releasable;
   /// Pool backing interior morsel fan-out (the service pool, or the
-  /// parallel runtime's owned fallback wired in by RunStageParallel);
-  /// null keeps every node single-morsel.
+  /// owned fallback RunStageParallel creates for standalone runs above one
+  /// lane); null keeps every node single-morsel.
   LanePool* morsel_pool = nullptr;
-  /// Per-node cost estimates feeding opt::MorselBudget; empty when
-  /// morsel_target_seconds disables interior fan-out.
+  /// Per-node cost estimates feeding inline dispatch and
+  /// opt::MorselBudget.
   std::vector<double> node_est_seconds;
   /// Morsel tasks executed across the run (RunReport::morsel_tasks).
   std::atomic<std::int64_t> morsel_tasks{0};
@@ -397,10 +357,9 @@ engine::TablePtr CompressResidency(engine::TablePtr table) {
 /// the output to external storage. Safe to call from concurrent lanes:
 /// it touches only the (thread-safe) catalog and disk plus local state.
 /// `inline_exec` marks coordinator-thread inline dispatch in the span.
-NodeResult ExecuteNode(RunState& s, graph::NodeId v,
-                       bool inline_exec = false) {
-  // Cancellation checkpoint: every node attempt — lane, inline, or
-  // sequential — starts by probing the token, so a cancelled job stops
+NodeResult ExecuteNode(RunState& s, graph::NodeId v, bool inline_exec) {
+  // Cancellation checkpoint: every node attempt — lane or inline —
+  // starts by probing the token, so a cancelled job stops
   // within one node boundary no matter which path executes it.
   if (s.options.cancel != nullptr) s.options.cancel->ThrowIfCancelled();
   const graph::Graph& g = s.wl.graph;
@@ -466,8 +425,7 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
   // node still completes and publishes as one unit — the in-order
   // publish protocol never observes the fan-out.
   int morsel_budget = 1;
-  if (s.morsel_pool != nullptr &&
-      static_cast<std::size_t>(v) < s.node_est_seconds.size()) {
+  if (s.morsel_pool != nullptr) {
     // Morsel work is pure compute, so fan-out beyond physical cores only
     // adds dispatch cost even when the pool is (deliberately)
     // oversubscribed for I/O-bound nodes. Cap at hardware concurrency
@@ -665,26 +623,6 @@ void PublishNode(RunState& s, graph::NodeId v, NodeResult result,
   report->nodes.push_back(std::move(stats));
 }
 
-/// Per-node inline-dispatch eligibility: true when the node's estimated
-/// wall cost (opt::EstimateNodeSeconds over the profiled graph metadata
-/// and the run's storage device) is at or below the configured
-/// threshold, so executing it on the coordinator thread beats paying the
-/// lane handoff. Unprofiled nodes estimate to +inf and stay on lanes.
-std::vector<char> InlineEligible(const RunState& s) {
-  const graph::Graph& g = s.wl.graph;
-  std::vector<char> ok(static_cast<std::size_t>(g.num_nodes()), 0);
-  const double threshold = s.options.inline_node_cost_seconds;
-  if (threshold <= 0) return ok;
-  const std::vector<double> est =
-      !s.node_est_seconds.empty()
-          ? s.node_est_seconds
-          : EstimateNodeCosts(g, s.plan.flags, s.disk);
-  for (std::size_t v = 0; v < est.size(); ++v) {
-    ok[v] = est[v] <= threshold ? 1 : 0;
-  }
-  return ok;
-}
-
 /// Blocks until every background materialization finished, rethrowing the
 /// first failure.
 void AwaitMaterializations(RunState& s) {
@@ -695,17 +633,8 @@ void AwaitMaterializations(RunState& s) {
   }
 }
 
-/// The classic sequential Controller loop (pre-parallel semantics):
-/// execute and publish each node at its plan-order slot.
-void RunSequential(RunState& s, RunReport* report) {
-  for (const graph::NodeId v : s.plan.order.sequence) {
-    PublishNode(s, v, ExecuteNode(s, v), report);
-  }
-  AwaitMaterializations(s);
-}
-
-/// The stage-scheduled parallel runtime with the relaxed publish
-/// protocol: ready nodes execute on up to `lanes` threads of `pool` (the
+/// The run loop: the stage-scheduled runtime with the relaxed publish
+/// protocol. Ready nodes execute on up to `lanes` threads of `pool` (the
 /// service's shared LanePool, or an owned per-run fallback) while the
 /// coordinator — the caller's thread — publishes completed results
 /// strictly in plan order. Publish and dispatch are decoupled: dispatch
@@ -726,13 +655,19 @@ void RunSequential(RunState& s, RunReport* report) {
 /// (estimated size) so that concurrently executing nodes cannot jointly
 /// overshoot the budget; when a reservation cannot be funded and the node
 /// is the next to publish with no lane active, it proceeds unreserved and
-/// the publish-time Put enforces the budget with the sequential error
-/// semantics.
+/// the publish-time Put enforces the budget.
+///
+/// One lane is the paper's sequential Controller: only the head of the
+/// publish order is dispatched, only while nothing else executes, and it
+/// runs inline on the coordinator without a reservation (nothing runs
+/// concurrently, so the publish-time Put alone enforces the budget). No
+/// pool lane is used for nodes, so a standalone one-lane run creates no
+/// lane pool and its nodes never fan out into morsels.
 void RunStageParallel(RunState& s, int lanes, LanePool* pool,
                       RunReport* report) {
   const graph::Graph& g = s.wl.graph;
   const std::vector<graph::NodeId>& seq = s.plan.order.sequence;
-  StageScheduler scheduler(g, s.plan.order, s.stages);
+  StageScheduler scheduler(g, s.plan.order);
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -740,11 +675,11 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
   std::size_t next_publish = 0;
   int executing = 0;
   std::string error;
-  // Below-threshold nodes queue here instead of going to a lane; the
-  // coordinator executes them itself between publishes (inline
-  // small-node dispatch). They count toward `executing` from dispatch to
-  // completion, like lane nodes.
-  const std::vector<char> inline_ok = InlineEligible(s);
+  const bool one_lane = lanes == 1;
+  const double inline_threshold = s.options.inline_node_cost_seconds;
+  // Inline nodes queue here instead of going to a lane; the coordinator
+  // executes them itself between publishes. They count toward `executing`
+  // from dispatch to completion, like lane nodes.
   std::deque<graph::NodeId> inline_ready;
   // Owned fallback for standalone Controllers (no service pool). Declared
   // after every piece of state its lane tasks touch: if the coordinator
@@ -752,11 +687,11 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
   // completed are still alive. (With a shared pool the coordinator never
   // returns before `executing` drops to zero instead.)
   std::optional<LanePool> owned;
-  if (pool == nullptr) pool = &owned.emplace(lanes);
-  // Standalone runs get interior morsels on the owned fallback pool too
-  // (every ExecuteNode below happens before `owned` unwinds).
-  if (s.morsel_pool == nullptr && s.options.morsel_target_seconds > 0) {
-    s.morsel_pool = pool;
+  if (pool == nullptr && !one_lane) {
+    pool = &owned.emplace(lanes);
+    // Standalone runs get interior morsels on the owned fallback pool too
+    // (every ExecuteNode below happens before `owned` unwinds).
+    if (s.options.morsel_target_seconds > 0) s.morsel_pool = pool;
   }
 
   // Dispatches ready nodes while this run's lanes are free, in
@@ -767,7 +702,42 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
   // First dispatch into each antichain stage is marked with an instant
   // event — the trace shows where the run crossed stage boundaries.
   std::int32_t last_dispatched_stage = -1;
-  std::function<void()> dispatch = [&] {
+  std::function<void()> dispatch;
+
+  // Executes `v` on the calling thread (lane or coordinator), which must
+  // not hold `mutex`, then records its completion — and dispatches what
+  // it readied — with `held` (a lock on `mutex`) taken; `held` stays
+  // locked on return.
+  auto run_node = [&](graph::NodeId v, bool inline_exec,
+                      std::unique_lock<std::mutex>& held) {
+    NodeResult result;
+    std::string exec_error;
+    try {
+      result = ExecuteNode(s, v, inline_exec);
+    } catch (const std::exception& e) {
+      exec_error = e.what();
+    }
+    held.lock();
+    --executing;
+    if (exec_error.empty()) {
+      if (inline_exec) ++report->inlined_nodes;
+      // Unflagged outputs are on disk already — children may read them
+      // before the (in-order) publish happens.
+      if (!s.plan.flags[v]) scheduler.MarkAvailable(v);
+      completed.emplace(v, std::move(result));
+      try {
+        dispatch();
+      } catch (const std::exception& e) {
+        if (error.empty()) error = e.what();
+      }
+    } else {
+      s.catalog.CancelReservation(g.node(v).name);
+      if (error.empty()) error = exec_error;
+    }
+    cv.notify_all();
+  };
+
+  dispatch = [&] {
     // Stage-dispatch cancellation checkpoint: a latched token stops all
     // further dispatch (in-flight nodes notice at their own next
     // boundary), recorded via the run's single error slot.
@@ -779,25 +749,31 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
     }
     while (error.empty() && scheduler.HasReady()) {
       const graph::NodeId v = scheduler.PeekReady();
+      // Nothing executes and `v` is the head of the publish order: running
+      // it now is exactly the sequential regime.
+      const bool sequential_turn = executing == 0 &&
+                                   next_publish < seq.size() &&
+                                   seq[next_publish] == v;
+      if (one_lane && !sequential_turn) break;
       // Cheap nodes run inline on the coordinator and consume no lane;
-      // everything else waits for a free lane as before.
-      const bool run_inline = inline_ok[static_cast<std::size_t>(v)] != 0;
+      // everything else waits for a free lane. (Unprofiled nodes estimate
+      // to +inf and stay on lanes.)
+      const bool run_inline =
+          one_lane ||
+          (inline_threshold > 0 &&
+           s.node_est_seconds[static_cast<std::size_t>(v)] <=
+               inline_threshold);
       if (!run_inline && executing >= lanes) break;
       const std::string& name = g.node(v).name;
-      if (s.plan.flags[v]) {
+      if (s.plan.flags[v] && !one_lane) {
         const std::int64_t estimate =
             std::max<std::int64_t>(0, g.node(v).size_bytes);
-        // Liveness escape: with no lane active and the head of the
-        // publish order ready, dispatching it unreserved is exactly the
-        // sequential regime — the publish-time Put enforces the budget
-        // with sequential error semantics. Without this escape,
+        // Liveness escape: the sequential turn proceeds unreserved and the
+        // publish-time Put enforces the budget. Without this escape,
         // reservations held by completed-but-unpublished later nodes
         // could wedge the run. (While a publish is in flight the head is
         // that publishing node, never a ready one, so the escape cannot
         // race the replay.)
-        const bool sequential_turn =
-            executing == 0 && next_publish < seq.size() &&
-            seq[next_publish] == v;
         if (!s.catalog.Reserve(name, estimate) && !sequential_turn) break;
       }
       scheduler.PopReady();
@@ -826,32 +802,9 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
         inline_ready.push_back(v);
         continue;  // the coordinator picks it up (cv signaled by caller)
       }
-      pool->Submit([&s, &g, &mutex, &cv, &executing, &error, &completed,
-                    &scheduler, &dispatch, v] {
-        NodeResult result;
-        std::string exec_error;
-        try {
-          result = ExecuteNode(s, v);
-        } catch (const std::exception& e) {
-          exec_error = e.what();
-        }
-        std::lock_guard<std::mutex> inner(mutex);
-        --executing;
-        if (exec_error.empty()) {
-          // Unflagged outputs are on disk already — children may read
-          // them before the (in-order) publish happens.
-          if (!s.plan.flags[v]) scheduler.MarkAvailable(v);
-          completed.emplace(v, std::move(result));
-          try {
-            dispatch();
-          } catch (const std::exception& e) {
-            if (error.empty()) error = e.what();
-          }
-        } else {
-          s.catalog.CancelReservation(g.node(v).name);
-          if (error.empty()) error = exec_error;
-        }
-        cv.notify_all();
+      pool->Submit([&mutex, &run_node, v] {
+        std::unique_lock<std::mutex> held(mutex, std::defer_lock);
+        run_node(v, /*inline_exec=*/false, held);
       });
     }
   };
@@ -871,34 +824,12 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
       if (it == completed.end()) {
         // No publish possible yet: execute queued inline nodes here, on
         // the coordinator thread — the whole point of inline dispatch is
-        // skipping the lane handoff for sub-threshold nodes.
+        // skipping the lane handoff.
         if (!inline_ready.empty()) {
           const graph::NodeId iv = inline_ready.front();
           inline_ready.pop_front();
           lock.unlock();
-          NodeResult result;
-          std::string exec_error;
-          try {
-            result = ExecuteNode(s, iv, /*inline_exec=*/true);
-          } catch (const std::exception& e) {
-            exec_error = e.what();
-          }
-          lock.lock();
-          --executing;
-          if (exec_error.empty()) {
-            ++report->inlined_nodes;
-            if (!s.plan.flags[iv]) scheduler.MarkAvailable(iv);
-            completed.emplace(iv, std::move(result));
-            try {
-              dispatch();
-            } catch (const std::exception& e) {
-              if (error.empty()) error = e.what();
-            }
-          } else {
-            s.catalog.CancelReservation(g.node(iv).name);
-            if (error.empty()) error = exec_error;
-          }
-          cv.notify_all();
+          run_node(iv, /*inline_exec=*/true, lock);
           continue;
         }
         cv.wait(lock, [&] {
@@ -1039,11 +970,7 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
   };
   const double run_start = MonotonicSeconds();
   try {
-    if (lanes > 1 || options_.force_stage_runtime) {
-      RunStageParallel(state, lanes, options_.lane_pool, &report);
-    } else {
-      RunSequential(state, &report);
-    }
+    RunStageParallel(state, lanes, options_.lane_pool, &report);
   } catch (const std::exception& e) {
     report.error = e.what();
     report.node_retries = state.retries.load(std::memory_order_relaxed);

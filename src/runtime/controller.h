@@ -7,9 +7,9 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -30,22 +30,19 @@ class LanePool;
 /// the DBMS executes downstream nodes. FIFO, mirroring one storage write
 /// channel.
 ///
-/// Two execution modes share the same queue and semantics:
-/// - Owned thread (pool == nullptr): the pre-pool behaviour — one writer
-///   thread per Materializer, constructed eagerly. Standalone fallback.
-/// - Pooled (pool != nullptr): writes drain on the service-wide LanePool
-///   via a single self-requeueing drain task, so steady-state jobs spawn
-///   no per-run writer thread (the last per-run thread construction).
-///   At most one drain task is ever in flight, which preserves the
-///   strict single-writer FIFO ordering per file; spans still land on
-///   this materializer's own "materializer-<k>" track regardless of
-///   which lane executes the drain.
+/// Writes drain on a LanePool through one self-requeueing drain task: the
+/// run's pool when one is supplied (so steady-state service jobs spawn no
+/// writer thread), otherwise an owned one-lane pool, so a standalone run
+/// still gets exactly one writer thread. At most one drain task is ever in
+/// flight, which keeps the strict single-writer FIFO order per file; spans
+/// land on this materializer's own "materializer-<k>" track whichever
+/// lane executes the drain.
 class Materializer {
  public:
   /// `trace` (optional, not owned) receives a "materialize" span per
   /// completed write on this materializer's track ("materializer-<k>").
-  /// `pool` (optional, not owned; must outlive this object) switches to
-  /// pooled mode.
+  /// `pool` (optional, not owned; must outlive this object) runs the
+  /// writes; null gives the materializer its own one-lane pool.
   explicit Materializer(storage::ThrottledDisk* disk,
                         obs::TraceRecorder* trace = nullptr,
                         LanePool* pool = nullptr);
@@ -85,16 +82,15 @@ class Materializer {
     std::promise<void> done;
   };
 
-  void Loop();
-  /// Pooled-mode drain body: writes queued tasks FIFO until the queue is
-  /// empty, then retires (Enqueue schedules a fresh one as needed).
+  /// Drain task body: writes queued tasks FIFO until the queue is empty,
+  /// then retires (Enqueue schedules a fresh one as needed).
   void DrainOnPool();
-  /// Executes one write and settles its promise (both modes).
+  /// Executes one write and settles its promise.
   void WriteOne(Task task);
 
   storage::ThrottledDisk* disk_;
   obs::TraceRecorder* trace_;  // not owned; may be null
-  LanePool* pool_;             // not owned; null = owned-thread mode
+  LanePool* pool_;             // the supplied pool or owned_pool_
   std::string track_;          // "materializer-<k>" trace track
   int retry_limit_ = 0;
   double retry_backoff_ms_ = 1.0;
@@ -102,14 +98,13 @@ class Materializer {
   std::atomic<std::int64_t>* retry_counter_ = nullptr;  // not owned
   std::function<void(const std::string&)> write_failure_hook_;
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::condition_variable drained_cv_;
   std::deque<Task> queue_;
-  bool busy_ = false;
-  bool stopping_ = false;
-  /// Pooled mode: a drain task has been submitted and not yet retired.
+  /// A drain task has been submitted and not yet retired.
   bool pool_task_active_ = false;
-  std::thread worker_;
+  /// Standalone writer lane. Declared last so it is joined first, while
+  /// the queue state its drain task touches is still alive.
+  std::unique_ptr<LanePool> owned_pool_;
 };
 
 struct ControllerOptions {
@@ -120,28 +115,26 @@ struct ControllerOptions {
   bool background_materialize = true;
   /// Maximum number of DAG nodes of one run executing concurrently
   /// (intra-job lanes). 1 — the default — is the paper's sequential
-  /// Controller and is guaranteed to produce the same node stats, catalog
-  /// hit/miss counts, and peak memory as the pre-parallel execution loop.
-  /// Values > 1 route the run through the stage-scheduled runtime:
-  /// independent nodes execute on LanePool lanes while flagged outputs
-  /// are still published to the Memory Catalog in optimized order.
+  /// Controller: every node executes on the calling thread in plan order.
+  /// Above 1, independent nodes execute on LanePool lanes while flagged
+  /// outputs are still published to the Memory Catalog in optimized
+  /// order. Node stats, catalog hit/miss counts, peak memory and MV bytes
+  /// are the same at every lane count (stage_runtime_test checks both
+  /// against a plan-order reference run).
   int max_parallel_nodes = 1;
-  /// Routes 1-lane runs through the stage-scheduled runtime instead of
-  /// the classic sequential loop. Semantics are identical either way;
-  /// the knob exists so tests can assert that equivalence.
-  bool force_stage_runtime = false;
-  /// Inline small-node dispatch threshold (seconds). In parallel runs,
-  /// a ready node whose estimated wall cost (opt::EstimateNodeSeconds:
+  /// Inline small-node dispatch threshold (seconds). Above one lane, a
+  /// ready node whose estimated wall cost (opt::EstimateNodeSeconds:
   /// profiled compute plus modeled I/O under throttled storage) is at or
   /// below this threshold executes on the coordinator thread itself
   /// instead of being handed to a LanePool lane — for sub-millisecond
   /// nodes the cross-thread handoff and wakeup cost more than the node,
-  /// which is what made lanes *lose* to the sequential loop on cheap
+  /// which is what made lanes *lose* to one lane on cheap
   /// workloads. Nodes that were never profiled have unknown cost and
   /// always go to a lane. <= 0 disables inlining. Inlined executions are
   /// reported in RunReport::inlined_nodes; results, publish order, and
-  /// catalog behaviour are unaffected (stage_runtime_test asserts the
-  /// sequential-equivalence contract with the threshold active).
+  /// catalog behaviour are unaffected (stage_runtime_test checks them
+  /// against the reference run with the threshold active). At one lane
+  /// every node runs inline and the threshold is not consulted.
   ///
   /// The 1 ms default is ~10x the measured lane handoff + wakeup cost:
   /// vectorized operator nodes at bench scale profile at 5-200 us (pure
@@ -149,10 +142,10 @@ struct ControllerOptions {
   /// storage estimate at several ms and keep their lane parallelism.
   double inline_node_cost_seconds = 0.001;
   /// Service-wide executor pool the run borrows its execution lanes from
-  /// (not owned; must outlive the Controller's runs). When null, parallel
-  /// runs fall back to an owned pool constructed per run — the standalone
-  /// Controller behaviour. The RefreshService always supplies its shared
-  /// pool so steady-state jobs pay zero thread construction.
+  /// (not owned; must outlive the Controller's runs). When null, runs
+  /// above one lane fall back to an owned pool constructed per run — the
+  /// standalone Controller behaviour. The RefreshService always supplies
+  /// its shared pool so steady-state jobs pay zero thread construction.
   LanePool* lane_pool = nullptr;
   /// Morsel-driven intra-operator parallelism (Leis et al., SIGMOD
   /// 2014): a node whose estimated wall cost (opt::EstimateNodeSeconds,
@@ -166,8 +159,9 @@ struct ControllerOptions {
   /// unit, and unprofiled nodes (est = +inf) get the full budget with
   /// the per-operator row floor below making the runtime call. <= 0
   /// disables interior fan-out entirely (the exact pre-morsel code
-  /// path). Requires a lane_pool (or the parallel runtime's owned
-  /// fallback pool); sequential runs without any pool stay sequential.
+  /// path). Requires a lane_pool (or the owned fallback pool of a
+  /// standalone run above one lane); one-lane runs without a lane_pool
+  /// stay single-morsel.
   double morsel_target_seconds = 0.005;
   /// Row floor per morsel: operators fan out only ranges of at least
   /// this many rows (a smaller morsel pays more in dispatch than it
@@ -293,17 +287,18 @@ struct RunReport {
   std::int64_t catalog_hits = 0;
   std::int64_t catalog_misses = 0;
   /// Execution lanes the run actually used (min of max_parallel_nodes and
-  /// the widest antichain; 1 for sequential runs).
+  /// the widest antichain).
   int parallel_lanes = 1;
   /// Antichain stages of the executed order.
   std::int32_t num_stages = 0;
-  /// Dispatch attempts denied by Memory-Catalog reservation backpressure
-  /// (0 for sequential runs): how often concurrent lanes were held back
-  /// to keep in-flight flagged outputs within the budget.
+  /// Dispatch attempts denied by Memory-Catalog reservation backpressure:
+  /// how often concurrent lanes were held back to keep in-flight flagged
+  /// outputs within the budget. Always 0 at one lane, which reserves
+  /// nothing because nothing runs concurrently.
   std::int64_t reserve_denials = 0;
-  /// Nodes executed inline on the coordinator thread instead of a lane
-  /// (below-threshold estimated cost; 0 for sequential runs, which have
-  /// no handoff to skip).
+  /// Nodes executed inline on the coordinator (calling) thread instead of
+  /// a lane: every node at one lane; above one lane, the nodes whose
+  /// estimated cost is at or below inline_node_cost_seconds.
   std::int64_t inlined_nodes = 0;
   /// Interior morsel tasks executed by fanned-out operators across the
   /// run (0 when every node ran single-morsel). Counts all participants
@@ -331,26 +326,28 @@ struct RunReport {
 /// are additionally kept in the Memory Catalog until their last consumer
 /// finishes, with their disk write running in the background.
 ///
-/// With max_parallel_nodes > 1 the run executes on the stage-scheduled
-/// parallel runtime: a StageScheduler derives antichain stages from the
-/// optimizer's total order and dispatches ready nodes (all DAG parents
-/// available) to a LanePool (the service's shared pool, or an owned
-/// fallback), in order-position priority. Flagged outputs are still
-/// *published* to the Memory Catalog strictly in the optimized order —
-/// the publish step replays the sequential Put / lazy-release sequence,
-/// so the catalog's budget behaviour (and the paper's residency
-/// semantics) are independent of the lane count; the catalog's
-/// reservation API additionally backpressures dispatch so concurrently
-/// executing flagged nodes cannot jointly overshoot the budget while
-/// their outputs are in flight.
+/// One run loop serves every lane count. A StageScheduler keeps the
+/// ready nodes (all DAG parents available) of the optimizer's total order,
+/// and the loop dispatches them in order-position priority. At one
+/// lane (the default) only the head of the publish order is dispatched,
+/// and it runs on the calling thread: the paper's sequential Controller.
+/// Above one lane, nodes run on a LanePool (the service's shared pool, or
+/// an owned fallback). Flagged outputs are *published* to the Memory
+/// Catalog strictly in the optimized order either way — the publish step
+/// is the sequential Put / lazy-release sequence, so the catalog's budget
+/// behaviour (and the paper's residency semantics) are independent of the
+/// lane count; above one lane the catalog's reservation API additionally
+/// backpressures dispatch so concurrently executing flagged nodes cannot
+/// jointly overshoot the budget while their outputs are in flight.
 ///
 /// Availability is decoupled from that residency replay (the relaxed
 /// publish protocol): an unflagged node's children become dispatchable
 /// the moment its external write completes, and dispatch itself happens
 /// from lane-completion callbacks, so the in-order replay — which can
 /// block on materializations during lazy release — never stalls
-/// execution of independent work. The Materializer keeps its
-/// single-writer channel regardless of lanes.
+/// execution of independent work. The Materializer keeps its one
+/// single-writer channel regardless of lanes: on the run's lane_pool when
+/// one is supplied, otherwise on its own one-lane pool.
 class Controller {
  public:
   Controller(storage::ThrottledDisk* disk, ControllerOptions options);

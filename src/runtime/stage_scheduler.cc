@@ -3,9 +3,8 @@
 namespace sc::runtime {
 
 StageScheduler::StageScheduler(const graph::Graph& g,
-                               const graph::Order& order,
-                               const opt::StageDecomposition& stages)
-    : g_(g), order_(order), stages_(stages) {
+                               const graph::Order& order)
+    : g_(g), order_(order) {
   const std::int32_t n = g.num_nodes();
   waiting_parents_.resize(static_cast<std::size_t>(n));
   for (graph::NodeId v = 0; v < n; ++v) {

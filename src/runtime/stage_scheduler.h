@@ -8,16 +8,15 @@
 
 #include "graph/graph.h"
 #include "graph/topo.h"
-#include "opt/types.h"
 
 namespace sc::runtime {
 
-/// Ready-queue scheduling state for one stage-parallel refresh run: turns
-/// the optimizer's total order plus its antichain stage decomposition into
-/// a dependency-aware dispatch sequence. A node becomes *ready* once every
-/// DAG parent is *available* — its output readable from the Memory Catalog
-/// (flagged parents, after their in-order publish) or from external
-/// storage (unflagged parents, after their write completes). Ready nodes
+/// Ready-queue scheduling state for one refresh run: turns the optimizer's
+/// total order into a dependency-aware dispatch sequence. A node becomes
+/// *ready* once every DAG parent is *available* — its output readable
+/// from the Memory Catalog (flagged parents, after their in-order publish)
+/// or from external storage (unflagged parents, after their write
+/// completes). Ready nodes
 /// are handed out by ascending order position, so whenever lanes are
 /// scarce the runtime degrades toward the optimized sequential order; with
 /// one lane the dispatch sequence is exactly the optimizer's order.
@@ -26,8 +25,7 @@ namespace sc::runtime {
 /// its run mutex (lanes only touch the scheduler while holding it).
 class StageScheduler {
  public:
-  StageScheduler(const graph::Graph& g, const graph::Order& order,
-                 const opt::StageDecomposition& stages);
+  StageScheduler(const graph::Graph& g, const graph::Order& order);
 
   bool HasReady() const { return !ready_.empty(); }
   /// Lowest-order-position ready node, or kInvalidNode when none.
@@ -39,10 +37,6 @@ class StageScheduler {
   /// now all available.
   void MarkAvailable(graph::NodeId v);
 
-  std::int32_t stage_of(graph::NodeId v) const {
-    return stages_.stage_of[v];
-  }
-  std::size_t dispatched() const { return dispatched_; }
   bool AllDispatched() const {
     return dispatched_ ==
            static_cast<std::size_t>(order_.sequence.size());
@@ -51,7 +45,6 @@ class StageScheduler {
  private:
   const graph::Graph& g_;
   const graph::Order& order_;
-  const opt::StageDecomposition& stages_;
   std::vector<std::int32_t> waiting_parents_;
   // Order positions of ready, undispatched nodes (min-heap).
   std::priority_queue<std::int32_t, std::vector<std::int32_t>,

@@ -384,7 +384,9 @@ engine::Table ReadTable(std::istream& in, const ReadOptions& options) {
           throw CorruptFileError("SCT1: bad int64 payload size");
         }
         std::vector<std::int64_t> values(num_rows);
-        std::memcpy(values.data(), payload.data(), payload.size());
+        if (num_rows > 0) {
+          std::memcpy(values.data(), payload.data(), payload.size());
+        }
         columns.push_back(engine::Column::FromInts(std::move(values)));
         break;
       }
@@ -394,7 +396,9 @@ engine::Table ReadTable(std::istream& in, const ReadOptions& options) {
           throw CorruptFileError("SCT1: bad float64 payload size");
         }
         std::vector<double> values(num_rows);
-        std::memcpy(values.data(), payload.data(), payload.size());
+        if (num_rows > 0) {
+          std::memcpy(values.data(), payload.data(), payload.size());
+        }
         columns.push_back(engine::Column::FromDoubles(std::move(values)));
         break;
       }
@@ -598,7 +602,9 @@ engine::Table ReadTableCompressed(std::istream& in,
           throw CorruptFileError("SCC1: bad float64 payload size");
         }
         std::vector<double> values(num_rows);
-        std::memcpy(values.data(), buf.data(), buf.size());
+        if (num_rows > 0) {
+          std::memcpy(values.data(), buf.data(), buf.size());
+        }
         columns.push_back(engine::Column::FromDoubles(std::move(values)));
         break;
       }

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <optional>
 #include <shared_mutex>
-#include <stdexcept>
 #include <thread>
 
 #include "storage/format.h"
@@ -65,11 +64,6 @@ void ThrottledDisk::ReleaseChannel() {
   channel_cv_.notify_one();
 }
 
-void ThrottledDisk::InjectWriteFailure(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  write_failures_.insert(name);
-}
-
 void ThrottledDisk::SetFaultInjector(fault::FaultInjector* injector) {
   std::lock_guard<std::mutex> lock(mutex_);
   fault_injector_ = injector;
@@ -85,15 +79,10 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
   fault::FaultInjector* injector = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = write_failures_.find(name);
-        it != write_failures_.end()) {
-      write_failures_.erase(it);
-      throw std::runtime_error("injected write failure for table " + name);
-    }
     injector = fault_injector_;
   }
   // Faults fire before any bytes land, so a failed write never leaves a
-  // partial file behind (the Materializer still Remove()s defensively).
+  // partial file behind.
   if (injector != nullptr) {
     injector->MaybeThrow(fault::Site::kDiskWrite, name);
   }

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 
@@ -76,12 +75,6 @@ class ThrottledDisk {
   double total_read_seconds() const;
   double total_write_seconds() const;
 
-  /// Failure injection (tests): the next write of table `name` throws
-  /// std::runtime_error instead of persisting (one-shot). Used to verify
-  /// that materialization failures propagate through the background
-  /// writer into the Controller's run report.
-  void InjectWriteFailure(const std::string& name);
-
   /// Attaches a seeded fault injector: every read/write first probes it
   /// at Site::kDiskRead / kDiskWrite with the table name and throws
   /// fault::FaultError when a rule fires. Corruption rules at kDiskWrite
@@ -108,7 +101,6 @@ class ThrottledDisk {
   std::map<std::string, std::shared_ptr<std::shared_mutex>> file_locks_;
   double total_read_seconds_ = 0.0;
   double total_write_seconds_ = 0.0;
-  std::set<std::string> write_failures_;
   fault::FaultInjector* fault_injector_ = nullptr;  // not owned
 };
 

@@ -5,6 +5,7 @@
 #include "opt/optimizer.h"
 #include "runtime/controller.h"
 #include "storage/format.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
 
@@ -31,6 +32,18 @@ std::map<std::string, engine::TablePtr> TinyData() {
   workload::DataGenOptions options;
   options.scale = 0.03;
   return workload::GenerateTpcdsData(options);
+}
+
+/// Arms `faults` to fail the first write of MV `name` permanently, after
+/// checking that no other MV name contains it (the rule's match is a
+/// substring filter). Returns the error text the failure carries.
+std::string FailWriteOf(const workload::MvWorkload& wl,
+                        const std::string& name,
+                        fault::FaultInjector* faults) {
+  EXPECT_EQ(test::NamesContaining(wl.graph, name),
+            std::vector<std::string>{name});
+  faults->AddRule(test::FailFirstWrite(name));
+  return "injected fault at disk-write (" + name + ")";
 }
 
 TEST(MaterializerTest, WritesInBackground) {
@@ -195,6 +208,7 @@ TEST(ControllerTest, SynchronousMaterializationModeWorks) {
 TEST(ControllerTest, BackgroundMaterializationFailureIsReported) {
   const auto data = TinyData();
   workload::MvWorkload wl = TinyWorkload();
+  fault::FaultInjector faults(1);  // outlives the disk
   storage::ThrottledDisk disk(FreshDir("failbg"), FastDisk());
   Controller profiler(&disk, ControllerOptions{});
   profiler.LoadBaseTables(data);
@@ -204,40 +218,46 @@ TEST(ControllerTest, BackgroundMaterializationFailureIsReported) {
   const auto flagged = opt::FlaggedNodes(result.plan.flags);
   ASSERT_FALSE(flagged.empty());
   // Fail the background write of the first flagged MV.
-  disk.InjectWriteFailure(wl.graph.node(flagged.front()).name);
+  const std::string expected =
+      FailWriteOf(wl, wl.graph.node(flagged.front()).name, &faults);
+  disk.SetFaultInjector(&faults);
   ControllerOptions options;
   options.budget = budget;
   Controller controller(&disk, options);
   const RunReport report = controller.Run(wl, result.plan);
   EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("injected write failure"),
-            std::string::npos);
+  EXPECT_EQ(report.error, expected);
+  EXPECT_EQ(faults.total_fires(), 1);
 }
 
 TEST(ControllerTest, ForegroundWriteFailureIsReported) {
   const auto data = TinyData();
   const workload::MvWorkload wl = TinyWorkload();
+  fault::FaultInjector faults(1);  // outlives the disk
   storage::ThrottledDisk disk(FreshDir("failfg"), FastDisk());
   Controller controller(&disk, ControllerOptions{});
   controller.LoadBaseTables(data);
   // Unoptimized run writes every MV synchronously; fail one mid-run.
-  disk.InjectWriteFailure(wl.graph.node(5).name);
+  const std::string expected =
+      FailWriteOf(wl, wl.graph.node(5).name, &faults);
+  disk.SetFaultInjector(&faults);
   const RunReport report = controller.RunUnoptimized(wl);
   EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("injected write failure"),
-            std::string::npos);
+  EXPECT_EQ(report.error, expected);
+  EXPECT_EQ(faults.total_fires(), 1);
 }
 
 TEST(ControllerTest, RecoversOnRerunAfterFailure) {
   const auto data = TinyData();
   const workload::MvWorkload wl = TinyWorkload();
+  fault::FaultInjector faults(1);  // outlives the disk
   storage::ThrottledDisk disk(FreshDir("recover"), FastDisk());
   Controller controller(&disk, ControllerOptions{});
   controller.LoadBaseTables(data);
-  disk.InjectWriteFailure(wl.graph.node(0).name);
+  FailWriteOf(wl, wl.graph.node(0).name, &faults);
+  disk.SetFaultInjector(&faults);
   EXPECT_FALSE(controller.RunUnoptimized(wl).ok);
-  // The injected failure is one-shot: a rerun succeeds and materializes
-  // everything.
+  // The rule fires once: a rerun succeeds and materializes everything.
   const RunReport report = controller.RunUnoptimized(wl);
   EXPECT_TRUE(report.ok) << report.error;
   for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "opt/optimizer.h"
+#include "reference_run.h"
 #include "runtime/controller.h"
 #include "service/service.h"
 #include "workload/datagen.h"
@@ -188,6 +189,8 @@ TEST(ChromeTraceTest, RejectsMalformedInput) {
 struct TracedRun {
   runtime::RunReport report;
   std::vector<TraceEvent> events;
+  /// The plan-order reference run of the same plan and budget.
+  test::ReferenceReport reference;
 };
 
 TracedRun RunControllerTraced(const std::string& tag, int lanes) {
@@ -207,9 +210,8 @@ TracedRun RunControllerTraced(const std::string& tag, int lanes) {
   runtime::ControllerOptions options;
   options.budget = budget;
   options.max_parallel_nodes = lanes;
-  options.force_stage_runtime = true;
-  // Force every node onto a LanePool lane so lane tracks appear even
-  // for the cheap profiled nodes the dispatcher would inline.
+  // Above one lane, force every node onto a LanePool lane so lane tracks
+  // appear even for the cheap profiled nodes the dispatcher would inline.
   options.inline_node_cost_seconds = 0.0;
   options.trace = &recorder;
   options.trace_job_id = 42;
@@ -217,6 +219,7 @@ TracedRun RunControllerTraced(const std::string& tag, int lanes) {
   TracedRun run;
   run.report = controller.Run(wl, optimized.plan);
   run.events = recorder.Events();
+  run.reference = test::RunReference(wl, optimized.plan, budget, &disk);
   return run;
 }
 
@@ -234,8 +237,8 @@ std::vector<std::string> NamesInCategory(
 TEST(ControllerTraceTest, SpanOrderingMatchesPublishOrderAcrossLanes) {
   const TracedRun one = RunControllerTraced("lanes1", 1);
   const TracedRun four = RunControllerTraced("lanes4", 4);
-  ASSERT_TRUE(one.report.ok) << one.report.error;
-  ASSERT_TRUE(four.report.ok) << four.report.error;
+  test::ExpectMatchesReference(one.reference, one.report, "1 lane");
+  test::ExpectMatchesReference(four.reference, four.report, "4 lanes");
   EXPECT_GT(four.report.parallel_lanes, 1);
 
   // Every executed node emitted exactly one node span and one publish
@@ -245,7 +248,7 @@ TEST(ControllerTraceTest, SpanOrderingMatchesPublishOrderAcrossLanes) {
   EXPECT_EQ(NamesInCategory(one.events, "node").size(), num_nodes);
   EXPECT_EQ(NamesInCategory(four.events, "node").size(), num_nodes);
 
-  // The publish replay is strictly in plan order on both runtimes (the
+  // The publish replay is strictly in plan order at both lane counts (the
   // relaxed-publish contract): publish spans sorted by start time must
   // match the report's node order — which is itself publish order.
   auto publish_order = [](const TracedRun& run) {

@@ -9,11 +9,14 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
 #include "opt/optimizer.h"
 #include "opt/stages.h"
 #include "runtime/controller.h"
 #include "runtime/lane_pool.h"
 #include "runtime/stage_scheduler.h"
+#include "reference_run.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
 
@@ -133,7 +136,7 @@ TEST(StageSchedulerTest, SingleLaneDispatchFollowsPlanOrder) {
   g.AddEdge(right, sink);
   const auto order = graph::KahnTopologicalOrder(g);
   const auto stages = opt::DecomposeStages(g, order);
-  StageScheduler scheduler(g, order, stages);
+  StageScheduler scheduler(g, order);
   std::vector<graph::NodeId> dispatched;
   while (scheduler.HasReady()) {
     const graph::NodeId v = scheduler.PopReady();
@@ -153,7 +156,7 @@ TEST(StageSchedulerTest, ReadyRequiresEveryParentAvailable) {
   g.AddEdge(b, c);
   const auto order = graph::KahnTopologicalOrder(g);
   const auto stages = opt::DecomposeStages(g, order);
-  StageScheduler scheduler(g, order, stages);
+  StageScheduler scheduler(g, order);
   EXPECT_EQ(scheduler.PopReady(), a);
   EXPECT_EQ(scheduler.PopReady(), b);
   EXPECT_FALSE(scheduler.HasReady());  // c waits for both parents
@@ -164,9 +167,22 @@ TEST(StageSchedulerTest, ReadyRequiresEveryParentAvailable) {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential-mode guarantee (acceptance regression test)
+// One-lane guarantee (acceptance regression test)
 // ---------------------------------------------------------------------------
 
+/// MV bytes of every node on `a` and `b` are identical.
+void ExpectSameMvs(const workload::MvWorkload& wl, storage::ThrottledDisk& a,
+                   storage::ThrottledDisk& b) {
+  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
+    const std::string& name = wl.graph.node(v).name;
+    EXPECT_TRUE(a.ReadTable(name) == b.ReadTable(name)) << name;
+  }
+}
+
+// The Controller at one lane and at four lanes reproduces the plan-order
+// reference run (tests/reference_run.h): node order and stats, catalog
+// hits/misses, peak memory and MV bytes. At one lane every node executes
+// inline on the calling thread, in plan order, with no reservation.
 TEST(StageRuntimeTest, OneLaneStageRuntimeIdenticalToSequentialLoop) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
@@ -180,43 +196,47 @@ TEST(StageRuntimeTest, OneLaneStageRuntimeIdenticalToSequentialLoop) {
   const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
   ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
 
-  storage::ThrottledDisk disk_seq(FreshDir("eq_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
+  storage::ThrottledDisk disk_ref(FreshDir("eq_ref"), FastDisk());
+  Controller(&disk_ref, ControllerOptions{}).LoadBaseTables(data);
+  const test::ReferenceReport reference =
+      test::RunReference(wl, plan, budget, &disk_ref);
+  ASSERT_TRUE(reference.ok) << reference.error;
 
-  storage::ThrottledDisk disk_stage(FreshDir("eq_stage"), FastDisk());
-  ControllerOptions stage_options;
-  stage_options.budget = budget;
-  stage_options.max_parallel_nodes = 1;
-  stage_options.force_stage_runtime = true;
-  Controller staged(&disk_stage, stage_options);
-  staged.LoadBaseTables(data);
-  const RunReport stage = staged.Run(wl, plan);
-  ASSERT_TRUE(stage.ok) << stage.error;
-
-  // The paper-semantics invariants: identical node stats (modulo wall
-  // times), catalog hit/miss counts, and peak memory.
-  EXPECT_EQ(stage.parallel_lanes, 1);
-  EXPECT_EQ(seq.peak_memory, stage.peak_memory);
-  EXPECT_EQ(seq.catalog_hits, stage.catalog_hits);
-  EXPECT_EQ(seq.catalog_misses, stage.catalog_misses);
-  ASSERT_EQ(seq.nodes.size(), stage.nodes.size());
-  for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-    EXPECT_EQ(seq.nodes[i].name, stage.nodes[i].name);
-    EXPECT_EQ(seq.nodes[i].output_bytes, stage.nodes[i].output_bytes);
-    EXPECT_EQ(seq.nodes[i].output_rows, stage.nodes[i].output_rows);
-    EXPECT_EQ(seq.nodes[i].output_in_memory,
-              stage.nodes[i].output_in_memory);
-    EXPECT_EQ(seq.nodes[i].stage, stage.nodes[i].stage);
-  }
-  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    const std::string& name = wl.graph.node(v).name;
-    EXPECT_TRUE(disk_seq.ReadTable(name) == disk_stage.ReadTable(name))
-        << name;
+  for (const int lanes : {1, 4}) {
+    const std::string label = std::to_string(lanes) + " lanes";
+    storage::ThrottledDisk disk(FreshDir("eq_" + std::to_string(lanes)),
+                                FastDisk());
+    obs::TraceRecorder recorder;
+    ControllerOptions options;
+    options.budget = budget;
+    options.max_parallel_nodes = lanes;
+    options.trace = &recorder;
+    Controller controller(&disk, options);
+    controller.LoadBaseTables(data);
+    const RunReport report = controller.Run(wl, plan);
+    test::ExpectMatchesReference(reference, report, label);
+    ExpectSameMvs(wl, disk_ref, disk);
+    if (lanes > 1) {
+      EXPECT_GT(report.parallel_lanes, 1);
+      continue;
+    }
+    EXPECT_EQ(report.parallel_lanes, 1);
+    EXPECT_EQ(report.inlined_nodes,
+              static_cast<std::int64_t>(wl.graph.num_nodes()));
+    EXPECT_EQ(report.reserve_denials, 0);
+    // Every node span sits on this (the calling) thread's track, and the
+    // spans follow plan order.
+    std::vector<std::string> executed;
+    for (const obs::TraceEvent& event : recorder.Events()) {
+      if (event.category != "node" || event.instant) continue;
+      EXPECT_EQ(event.track, obs::ThreadTrack()) << event.name;
+      executed.push_back(event.name);
+    }
+    std::vector<std::string> planned;
+    for (const graph::NodeId v : plan.order.sequence) {
+      planned.push_back(wl.graph.node(v).name);
+    }
+    EXPECT_EQ(executed, planned);
   }
 }
 
@@ -295,68 +315,12 @@ TEST(StageRuntimeTest, WideDagExecutesOnAllLanes) {
   }
 }
 
-// The relaxed publish protocol decouples dispatch from the in-order
-// residency replay; this asserts the replay is still exactly the
-// sequential Put / lazy-release sequence: node stats (deterministic
-// fields), catalog hit/miss counts, and peak memory are identical to the
-// sequential loop even at 4 lanes.
-TEST(StageRuntimeTest, FourLaneRelaxedPublishMatchesSequentialStats) {
-  const auto data = TinyData();
-  workload::MvWorkload wl = workload::BuildIo1();
-
-  storage::ThrottledDisk profile_disk(FreshDir("relax_profile"),
-                                      FastDisk());
-  Controller profiler(&profile_disk, ControllerOptions{});
-  profiler.LoadBaseTables(data);
-  ASSERT_TRUE(profiler.ProfileAndAnnotate(&wl).ok);
-
-  const std::int64_t budget = 8LL * 1024 * 1024;
-  const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
-  ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
-
-  storage::ThrottledDisk disk_seq(FreshDir("relax_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
-
-  storage::ThrottledDisk disk_par(FreshDir("relax_par"), FastDisk());
-  ControllerOptions par_options;
-  par_options.budget = budget;
-  par_options.max_parallel_nodes = 4;
-  Controller parallel(&disk_par, par_options);
-  parallel.LoadBaseTables(data);
-  const RunReport par = parallel.Run(wl, plan);
-  ASSERT_TRUE(par.ok) << par.error;
-
-  EXPECT_GT(par.parallel_lanes, 1);
-  EXPECT_EQ(seq.peak_memory, par.peak_memory);
-  EXPECT_EQ(seq.catalog_hits, par.catalog_hits);
-  EXPECT_EQ(seq.catalog_misses, par.catalog_misses);
-  ASSERT_EQ(seq.nodes.size(), par.nodes.size());
-  for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-    EXPECT_EQ(seq.nodes[i].name, par.nodes[i].name);  // publish order
-    EXPECT_EQ(seq.nodes[i].output_bytes, par.nodes[i].output_bytes);
-    EXPECT_EQ(seq.nodes[i].output_rows, par.nodes[i].output_rows);
-    EXPECT_EQ(seq.nodes[i].output_in_memory,
-              par.nodes[i].output_in_memory);
-    EXPECT_EQ(seq.nodes[i].stage, par.nodes[i].stage);
-  }
-  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    const std::string& name = wl.graph.node(v).name;
-    EXPECT_TRUE(disk_seq.ReadTable(name) == disk_par.ReadTable(name))
-        << name;
-  }
-}
-
 // Inline small-node dispatch: nodes whose estimated cost falls below
 // ControllerOptions::inline_node_cost_seconds execute on the coordinator
-// thread instead of a LanePool lane. The sequential-equivalence contract
-// must hold with the threshold active — identical node stats, catalog
-// hit/miss counts, peak memory, and MV bytes at 1 *and* 4 lanes — and
-// RunReport must expose how many nodes were inlined.
+// thread instead of a LanePool lane. The reference run must still be
+// reproduced with the threshold active — node stats, catalog hit/miss
+// counts, peak memory, and MV bytes at 1 *and* 4 lanes — and RunReport
+// must expose how many nodes were inlined.
 TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
@@ -371,15 +335,10 @@ TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
   const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
   ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
 
-  // Baseline: the classic sequential loop (no lanes, nothing to inline).
-  storage::ThrottledDisk disk_seq(FreshDir("inline_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
-  EXPECT_EQ(seq.inlined_nodes, 0);
+  storage::ThrottledDisk disk_ref(FreshDir("inline_ref"), FastDisk());
+  Controller(&disk_ref, ControllerOptions{}).LoadBaseTables(data);
+  const test::ReferenceReport reference =
+      test::RunReference(wl, plan, budget, &disk_ref);
 
   // A threshold large enough that every profiled node qualifies; the
   // whole run executes inline on the coordinator at any lane count.
@@ -389,62 +348,43 @@ TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
     ControllerOptions par_options;
     par_options.budget = budget;
     par_options.max_parallel_nodes = lanes;
-    par_options.force_stage_runtime = true;
     par_options.inline_node_cost_seconds = 3600.0;
     Controller parallel(&disk_par, par_options);
     parallel.LoadBaseTables(data);
     const RunReport par = parallel.Run(wl, plan);
-    ASSERT_TRUE(par.ok) << par.error;
-
+    test::ExpectMatchesReference(reference, par,
+                                 std::to_string(lanes) + " lanes");
     EXPECT_EQ(par.inlined_nodes,
               static_cast<std::int64_t>(wl.graph.num_nodes()))
         << lanes;
-    EXPECT_EQ(seq.peak_memory, par.peak_memory) << lanes;
-    EXPECT_EQ(seq.catalog_hits, par.catalog_hits) << lanes;
-    EXPECT_EQ(seq.catalog_misses, par.catalog_misses) << lanes;
-    ASSERT_EQ(seq.nodes.size(), par.nodes.size());
-    for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-      EXPECT_EQ(seq.nodes[i].name, par.nodes[i].name);  // publish order
-      EXPECT_EQ(seq.nodes[i].output_bytes, par.nodes[i].output_bytes);
-      EXPECT_EQ(seq.nodes[i].output_rows, par.nodes[i].output_rows);
-      EXPECT_EQ(seq.nodes[i].output_in_memory,
-                par.nodes[i].output_in_memory);
-    }
-    for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-      const std::string& name = wl.graph.node(v).name;
-      EXPECT_TRUE(disk_seq.ReadTable(name) == disk_par.ReadTable(name))
-          << name;
-    }
+    ExpectSameMvs(wl, disk_ref, disk_par);
   }
 }
 
 // Morsel-driven intra-operator parallelism must be invisible in every
 // observable output: with interior fan-out forced on (tiny per-morsel
 // cost target, no row floor), publish order, per-node stats, and the
-// MV bytes written to disk are identical to a run with morsels disabled
-// — at 1 lane (fan-out degenerates to the sequential path) and at 4
+// MV bytes written to disk match the reference run — at 1 lane (a
+// standalone one-lane run has no pool, so nothing fans out) and at 4
 // lanes (joins and aggregates actually split). RunReport::morsel_tasks
 // must expose the fan-out at 4 lanes.
 TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
 
-  // Baseline: morsels disabled entirely (target 0), classic loop.
-  storage::ThrottledDisk disk_seq(FreshDir("morsel_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.morsel_target_seconds = 0.0;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.RunUnoptimized(wl);
-  ASSERT_TRUE(seq.ok) << seq.error;
-  EXPECT_EQ(seq.morsel_tasks, 0);
+  opt::Plan unoptimized;
+  unoptimized.order = graph::KahnTopologicalOrder(wl.graph);
+  unoptimized.flags = opt::EmptyFlags(wl.graph.num_nodes());
+  storage::ThrottledDisk disk_ref(FreshDir("morsel_ref"), FastDisk());
+  Controller(&disk_ref, ControllerOptions{}).LoadBaseTables(data);
+  const test::ReferenceReport reference = test::RunReference(
+      wl, unoptimized, ControllerOptions{}.budget, &disk_ref);
 
   for (const int lanes : {1, 4}) {
     storage::ThrottledDisk disk_par(
         FreshDir("morsel_par" + std::to_string(lanes)), FastDisk());
     ControllerOptions par_options;
     par_options.max_parallel_nodes = lanes;
-    par_options.force_stage_runtime = true;
     // Every node overshoots a 1ns target, so each one gets the full
     // lane-capacity morsel budget; the row floor of 1 makes even the
     // tiny-scale tables split.
@@ -456,24 +396,12 @@ TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
     Controller parallel(&disk_par, par_options);
     parallel.LoadBaseTables(data);
     const RunReport par = parallel.RunUnoptimized(wl);
-    ASSERT_TRUE(par.ok) << par.error;
-
-    ASSERT_EQ(seq.nodes.size(), par.nodes.size());
-    for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-      EXPECT_EQ(seq.nodes[i].name, par.nodes[i].name);  // publish order
-      EXPECT_EQ(seq.nodes[i].output_bytes, par.nodes[i].output_bytes);
-      EXPECT_EQ(seq.nodes[i].output_rows, par.nodes[i].output_rows);
-    }
-    EXPECT_EQ(seq.peak_memory, par.peak_memory) << lanes;
-    for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-      const std::string& name = wl.graph.node(v).name;
-      EXPECT_TRUE(disk_seq.ReadTable(name) == disk_par.ReadTable(name))
-          << name;
-    }
+    test::ExpectMatchesReference(reference, par,
+                                 std::to_string(lanes) + " lanes");
+    ExpectSameMvs(wl, disk_ref, disk_par);
     if (lanes > 1) {
       EXPECT_GT(par.morsel_tasks, 0) << lanes;
     } else {
-      // A 1-lane pool caps every morsel budget at 1: no fan-out.
       EXPECT_EQ(par.morsel_tasks, 0);
     }
   }
@@ -552,18 +480,23 @@ TEST(StageRuntimeTest, SharedLanePoolReusedAcrossRuns) {
 TEST(StageRuntimeTest, ParallelExecutionFailureIsReported) {
   const auto data = TinyData();
   const workload::MvWorkload wl = WideWorkload(6);
+  fault::FaultInjector faults(1);  // outlives the disk
   storage::ThrottledDisk disk(FreshDir("wide_fail"), FastDisk());
   ControllerOptions options;
   options.max_parallel_nodes = 4;
   Controller controller(&disk, options);
   controller.LoadBaseTables(data);
-  disk.InjectWriteFailure("wide_mv_3");
+  // The rule's match is a substring filter: no longer name may match.
+  ASSERT_EQ(test::NamesContaining(wl.graph, "wide_mv_3"),
+            std::vector<std::string>{"wide_mv_3"});
+  faults.AddRule(test::FailFirstWrite("wide_mv_3"));
+  disk.SetFaultInjector(&faults);
   const RunReport report = controller.RunUnoptimized(wl);
   EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("injected write failure"),
-            std::string::npos);
-  // The failure is one-shot; a rerun completes.
+  EXPECT_EQ(report.error, "injected fault at disk-write (wide_mv_3)");
+  // The rule fires once; a rerun completes.
   EXPECT_TRUE(controller.RunUnoptimized(wl).ok);
+  EXPECT_EQ(faults.total_fires(), 1);
 }
 
 TEST(StageRuntimeTest, ParallelFlaggedRunStaysWithinTightBudget) {

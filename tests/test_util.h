@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fault/fault.h"
 #include "graph/graph.h"
 #include "graph/topo.h"
 
@@ -119,6 +120,32 @@ inline graph::Graph RandomDag(std::int32_t num_nodes, std::uint64_t seed,
     }
   }
   return g;
+}
+
+/// A permanent (non-retryable) fault on the first disk write whose table
+/// name contains `name`, firing once. FaultRule::match is a substring
+/// filter: check with NamesContaining that no longer name also matches
+/// ("wide_mv_3" would match "wide_mv_30").
+inline fault::FaultRule FailFirstWrite(const std::string& name) {
+  fault::FaultRule rule;
+  rule.site = fault::Site::kDiskWrite;
+  rule.match = name;
+  rule.nth_hit = 1;
+  rule.max_fires = 1;
+  rule.transient = false;
+  return rule;
+}
+
+/// Names of the nodes of `g` that contain `fragment`.
+inline std::vector<std::string> NamesContaining(const graph::Graph& g,
+                                                const std::string& fragment) {
+  std::vector<std::string> names;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.node(v).name.find(fragment) != std::string::npos) {
+      names.push_back(g.node(v).name);
+    }
+  }
+  return names;
 }
 
 }  // namespace sc::test
